@@ -278,9 +278,9 @@ pub fn grid_mismatches(a: &ResultGrid, b: &ResultGrid, strict_errors: bool) -> V
 /// Runs `run` over every benchmark of a corpus subset, fanning benchmarks out
 /// across worker threads (see [`chassis::par`]) while preserving corpus order
 /// in the result. Compiling one benchmark is independent of every other, so
-/// this is the figure harness' outermost — and only — parallel axis: nested
-/// `par_map` calls (each benchmark's accuracy evaluation and sampling) run
-/// serially inside a corpus worker rather than oversubscribing the machine.
+/// this is the figure harness' outermost parallel axis; nested `par_map`
+/// calls (each benchmark's accuracy evaluation and sampling) run on the same
+/// pool, helped by whichever threads have run out of benchmarks.
 ///
 /// Serial when the `parallel` feature of `chassis` is disabled, or when
 /// `chassis::par::set_thread_count(1)` / `CHASSIS_THREADS=1` is in effect.

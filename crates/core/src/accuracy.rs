@@ -102,8 +102,8 @@ pub fn max_bits(ty: FpType) -> f64 {
 /// — by default dead-code elimination plus register compaction, both
 /// bit-identity preserving) and the immutable compiled form is shared by every
 /// worker; points are then scored
-/// in blocks ([`targets::block`]): each worker sweeps its contiguous share of
-/// the batch against a per-worker columnar register file, one instruction
+/// in blocks ([`targets::block`]): each thread claims blocks of the batch
+/// and sweeps them against its own columnar register file, one instruction
 /// dispatch per block rather than per point, with zero allocation in the
 /// steady state. The block engine is bit-identical to the scalar bytecode
 /// engine and the tree-walk interpreter at every block width, so the error

@@ -2,11 +2,43 @@
 //!
 //! Accuracy evaluation scores each sampled point independently, which makes the
 //! improve/Pareto loop embarrassingly parallel (cf. *Fast Mixed-Precision Real
-//! Evaluation*). With the `parallel` feature (default) the helpers here fan work
-//! out over `std::thread::scope` in contiguous chunks, one per worker, and
-//! reassemble results **in input order** — so every caller observes exactly the
-//! serial result, bit for bit, regardless of thread count. Without the feature
-//! they degrade to plain serial iteration and the crate stays single-threaded.
+//! Evaluation*). With the `parallel` feature (default) the helpers here run on
+//! one process-wide pool of persistent worker threads; without it they degrade
+//! to plain serial iteration and the crate stays single-threaded.
+//!
+//! How a map runs on the pool:
+//!
+//! * **Workers persist.** The pool starts lazily at the first parallel map and
+//!   grows to one worker fewer than the configured thread count; its threads
+//!   live for the rest of the process. The thread that issues a map works on
+//!   it too, so a map uses the issuer plus at most `threads - 1` helpers.
+//! * **Units are claimed.** Each map is a range of units — indices, or blocks
+//!   of indices for [`par_map_blocks_with`], whose boundaries are fixed by
+//!   the block size alone — handed out one at a time by an atomic cursor, so
+//!   a thread that finishes early takes more units instead of idling.
+//! * **Results land in slots.** Every unit writes its result straight into a
+//!   pre-sized output slot at its own index; nothing is merged afterwards.
+//!   Which thread ran a unit therefore cannot change the output: it equals
+//!   the serial loop bit for bit, at any thread count (the argument is
+//!   spelled out in docs/SEARCH.md).
+//! * **Nested maps are helped.** A map issued from inside another map's unit
+//!   joins the pool like any other: its issuer claims its units and idle
+//!   threads help. A thread waiting for its own map's last units helps only
+//!   maps nested deeper than its own, which keeps every wait finite.
+//! * **Single units run inline.** A map of fewer than two units (indices,
+//!   or blocks) runs as a plain loop on the calling thread.
+//!
+//! [`Session::compile_many`](crate::Session::compile_many) is one such map
+//! over benchmarks, each unit preparing its benchmark and then issuing a
+//! nested map over targets. A benchmark's compiles are therefore claimable
+//! the moment its preparation succeeds, with no barrier between the two
+//! phases, and the thread that prepared it runs them before it claims
+//! another preparation.
+//!
+//! A panic in a unit is caught on the thread that ran it. Threads stop
+//! claiming new units, every claimed unit finishes, and the payload of the
+//! panicking unit with the *lowest* index resumes on the calling thread —
+//! the panic the serial loop would have raised.
 //!
 //! The worker count defaults to the machine's available parallelism and can be
 //! overridden at runtime with [`set_thread_count`] or the `CHASSIS_THREADS`
@@ -20,17 +52,14 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+#[cfg(feature = "parallel")]
+mod pool;
+#[cfg(feature = "parallel")]
+use pool::{Claim, Slots};
+
 /// 0 means "not overridden": fall back to `CHASSIS_THREADS`, then to the
 /// machine's available parallelism.
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-#[cfg(feature = "parallel")]
-std::thread_local! {
-    /// True inside a `par_map` worker. Nested calls (a parallel corpus loop
-    /// whose benchmarks each evaluate accuracy in parallel) run serially in
-    /// their worker instead of oversubscribing the machine ~cores² threads.
-    static IN_PAR_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
 
 /// Forces the worker count used by the `par_*` helpers; `0` restores the
 /// default (the `CHASSIS_THREADS` environment variable, or all cores).
@@ -38,14 +67,14 @@ pub fn set_thread_count(threads: usize) {
     THREAD_OVERRIDE.store(threads, Ordering::Relaxed);
 }
 
-/// The worker count the `par_*` helpers will use for `len` items.
+/// The configured thread count, before clamping to a map's length.
 ///
 /// `CHASSIS_THREADS` is read and parsed once per process (the helpers sit on
 /// the evaluation hot path, and the variable cannot meaningfully change
 /// mid-run); [`set_thread_count`] remains live at every call.
-pub fn effective_threads(len: usize) -> usize {
+fn configured_threads() -> usize {
     static ENV_DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    let configured = match THREAD_OVERRIDE.load(Ordering::Relaxed) {
+    match THREAD_OVERRIDE.load(Ordering::Relaxed) {
         0 => *ENV_DEFAULT.get_or_init(|| {
             std::env::var("CHASSIS_THREADS")
                 .ok()
@@ -56,16 +85,20 @@ pub fn effective_threads(len: usize) -> usize {
                 })
         }),
         n => n,
-    };
-    configured.min(len).max(1)
+    }
+}
+
+/// The number of threads (the caller included) the `par_*` helpers will use
+/// for `len` units of work.
+pub fn effective_threads(len: usize) -> usize {
+    configured_threads().min(len).max(1)
 }
 
 /// Maps `f` over the index range `0..len`, returning results in index order.
 ///
-/// This is the core primitive: with the `parallel` feature, the range is split
-/// into one contiguous sub-range per worker and results are concatenated in
-/// range order, so the output is identical to `(0..len).map(f).collect()` —
-/// no index buffer is materialized on either path.
+/// This is the core primitive: the output is identical to
+/// `(0..len).map(f).collect()` at any thread count — no index buffer is
+/// materialized on either path.
 pub fn par_map_range<R, F>(len: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -74,106 +107,103 @@ where
     par_map_range_with(len, || (), |(), i| f(i))
 }
 
-/// Like [`par_map_range`], but each worker first builds private scratch state
-/// with `init` and threads it through every index of its chunk.
+/// Like [`par_map_range`], but each participating thread first builds private
+/// scratch state with `init` and threads it through every index it claims.
 ///
 /// This is how the evaluation hot loop shares a compiled
-/// [`Program`](targets::compile::Program) across workers: the program (and the
-/// resolved point columns) are borrowed immutably by every worker, while each
-/// worker's register file is built once per chunk — not once per point — by
-/// `init`. The state cannot influence results (it is scratch space), so the
-/// output remains bit-identical to the serial path at any thread count.
-#[cfg(feature = "parallel")]
+/// [`Program`](targets::compile::Program) across threads: the program (and
+/// the resolved point columns) are borrowed immutably by every thread, while
+/// each thread's register file is built once per map — not once per point —
+/// by `init`. The state cannot influence results (it is scratch space), so
+/// the output remains bit-identical to the serial path at any thread count.
 pub fn par_map_range_with<S, R, I, F>(len: usize, init: I, f: F) -> Vec<R>
 where
     R: Send,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> R + Sync,
 {
-    let serial = |range: std::ops::Range<usize>| {
-        let mut state = init();
-        range.map(|i| f(&mut state, i)).collect::<Vec<R>>()
-    };
-    if len < 2 || IN_PAR_WORKER.with(std::cell::Cell::get) {
-        return serial(0..len);
-    }
-    let threads = effective_threads(len);
-    if threads <= 1 {
-        return serial(0..len);
-    }
-    // Chaos harness: an armed abort degrades the fan-out to the serial path,
-    // which is bit-identical by construction.
-    if fault::point("par.spawn") {
-        return serial(0..len);
-    }
-    let chunk_size = len.div_ceil(threads);
-    let (init, f) = (&init, &f);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..len)
-            .step_by(chunk_size)
-            .map(|start| {
-                let end = (start + chunk_size).min(len);
-                scope.spawn(move || {
-                    IN_PAR_WORKER.with(|w| w.set(true));
-                    // Catch panics inside the worker so the *original* payload
-                    // travels back to the calling thread (a bare join would
-                    // lose it to a generic message at the `expect`, and an
-                    // unjoined scope thread would abort the scope). The
-                    // worker's partial results are discarded wholesale, so
-                    // broken invariants cannot leak: AssertUnwindSafe is
-                    // sound here.
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let mut state = init();
-                        (start..end).map(|i| f(&mut state, i)).collect::<Vec<R>>()
-                    }))
-                })
-            })
-            .collect();
-        let mut out = Vec::with_capacity(len);
-        let mut panicked: Option<Box<dyn std::any::Any + Send>> = None;
-        for handle in handles {
-            match handle.join() {
-                Ok(Ok(results)) => out.extend(results),
-                // First worker panic (in chunk order) wins; keep joining the
-                // rest so every worker finishes before the payload resumes.
-                Ok(Err(payload)) | Err(payload) => {
-                    panicked.get_or_insert(payload);
-                }
-            }
+    // Chaos harness: an armed `par.spawn` abort degrades the map to the
+    // inline path, which is bit-identical by construction.
+    #[cfg(feature = "parallel")]
+    {
+        let threads = effective_threads(len);
+        if len >= 2 && threads > 1 && !fault::point("par.spawn") {
+            return claim_range(len, threads, &init, &f);
         }
-        if let Some(payload) = panicked {
-            std::panic::resume_unwind(payload);
-        }
-        out
-    })
-}
-
-/// Serial fallback when the `parallel` feature is disabled.
-#[cfg(not(feature = "parallel"))]
-pub fn par_map_range_with<S, R, I, F>(len: usize, init: I, f: F) -> Vec<R>
-where
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> R + Sync,
-{
+    }
     let mut state = init();
     (0..len).map(|i| f(&mut state, i)).collect()
+}
+
+/// [`par_map_range`] for the job-level maps of
+/// [`Session::compile_many`](crate::Session::compile_many), whose units are
+/// the jobs' own panic boundaries. It skips the `par.spawn` fault point: a
+/// panic injected there would sit outside every job and could only escape.
+pub(crate) fn par_map_jobs<R, F>(len: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    #[cfg(feature = "parallel")]
+    {
+        let threads = effective_threads(len);
+        if len >= 2 && threads > 1 {
+            return claim_range(len, threads, &|| (), &|(), i| f(i));
+        }
+    }
+    (0..len).map(f).collect()
+}
+
+/// Runs a map of `len` indices on the pool with up to `threads` threads
+/// (the caller included), each result written into its own slot.
+#[cfg(feature = "parallel")]
+fn claim_range<S, R, I, F>(len: usize, threads: usize, init: &I, f: &F) -> Vec<R>
+where
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> R + Sync,
+{
+    let mut out: Vec<R> = Vec::with_capacity(len);
+    let slots = Slots(out.as_mut_ptr());
+    let claim = Claim::new(len, init, |state: &mut S, i| {
+        // SAFETY: `i < len` is within the buffer's capacity, and the cursor
+        // hands every index to exactly one thread, so no two writes alias.
+        unsafe { slots.at(i).write(f(state, i)) };
+    });
+    pool::execute(&claim, threads - 1);
+    match claim.finish() {
+        None => {
+            // SAFETY: no unit panicked, so every index in `0..len` was
+            // claimed and written exactly once; `execute` returned only after
+            // the last helper left, which orders those writes before this
+            // read.
+            unsafe { out.set_len(len) };
+            out
+        }
+        Some(panic) => {
+            for i in panic.written() {
+                // SAFETY: `written` lists exactly the slots a unit completed,
+                // each initialized once and never read or dropped since.
+                unsafe { slots.at(i).drop_in_place() };
+            }
+            std::panic::resume_unwind(panic.payload)
+        }
+    }
 }
 
 /// Like [`par_map_range_with`], but the unit of work is a *block* of
 /// consecutive indices instead of one index: `fill(state, start, out)` must
 /// fill `out[l]` with the result for index `start + l`.
 ///
-/// This is the block evaluator's fan-out primitive: each worker builds its
-/// scratch state (a columnar register file) once with `init`, then sweeps its
-/// contiguous share of the range block by block, writing results straight
-/// into its disjoint slice of the output — no per-point and no per-block
-/// allocation in the steady state. Worker boundaries are always multiples of
-/// `block`, so the sequence of blocks evaluated is identical at every thread
+/// This is the block evaluator's fan-out primitive: each thread builds its
+/// scratch state (a columnar register file) once with `init`, then claims
+/// blocks one at a time, writing results straight into the block's slice of
+/// the output — no per-point and no per-block allocation in the steady
+/// state. Block boundaries are multiples of `block` whatever the thread
+/// count, so the sequence of blocks evaluated is identical at every thread
 /// count; combined with a `fill` whose per-index results are
 /// position-independent (the block engine is bit-identical at any width),
 /// the output equals the serial sweep bit for bit.
-#[cfg(feature = "parallel")]
 pub fn par_map_blocks_with<S, R, I, F>(len: usize, block: usize, init: I, fill: F) -> Vec<R>
 where
     R: Send + Clone + Default,
@@ -182,57 +212,32 @@ where
 {
     let block = block.max(1);
     let mut out = vec![R::default(); len];
-    let serial = |state: &mut S, base: usize, chunk: &mut [R]| {
-        for (i, piece) in chunk.chunks_mut(block).enumerate() {
-            fill(state, base + i * block, piece);
-        }
-    };
-    if len == 0 {
-        return out;
-    }
-    let n_blocks = len.div_ceil(block);
-    if n_blocks < 2 || IN_PAR_WORKER.with(std::cell::Cell::get) {
-        serial(&mut init(), 0, &mut out);
-        return out;
-    }
-    let threads = effective_threads(n_blocks);
-    if threads <= 1 {
-        serial(&mut init(), 0, &mut out);
-        return out;
-    }
-    // One contiguous, block-aligned span per worker.
-    let span = n_blocks.div_ceil(threads) * block;
-    let (init, serial) = (&init, &serial);
-    std::thread::scope(|scope| {
-        let mut rest: &mut [R] = &mut out;
-        let mut base = 0usize;
-        while !rest.is_empty() {
-            let take = span.min(rest.len());
-            let (chunk, tail) = rest.split_at_mut(take);
-            rest = tail;
-            scope.spawn(move || {
-                IN_PAR_WORKER.with(|w| w.set(true));
-                serial(&mut init(), base, chunk);
+    #[cfg(feature = "parallel")]
+    {
+        let n_blocks = len.div_ceil(block);
+        let threads = effective_threads(n_blocks);
+        if n_blocks >= 2 && threads > 1 && !fault::point("par.spawn") {
+            let slots = Slots(out.as_mut_ptr());
+            let claim = Claim::new(n_blocks, &init, |state: &mut S, b| {
+                let start = b * block;
+                // SAFETY: `b < n_blocks`, so the block lies within `out`; the
+                // cursor hands every block to exactly one thread, so the slices
+                // are disjoint, and `out` is not touched until `execute` returns.
+                let piece = unsafe {
+                    std::slice::from_raw_parts_mut(slots.at(start), block.min(len - start))
+                };
+                fill(state, start, piece);
             });
-            base += take;
+            pool::execute(&claim, threads - 1);
+            if let Some(panic) = claim.finish() {
+                std::panic::resume_unwind(panic.payload);
+            }
+            return out;
         }
-    });
-    out
-}
-
-/// Serial fallback when the `parallel` feature is disabled.
-#[cfg(not(feature = "parallel"))]
-pub fn par_map_blocks_with<S, R, I, F>(len: usize, block: usize, init: I, fill: F) -> Vec<R>
-where
-    R: Send + Clone + Default,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &mut [R]) + Sync,
-{
-    let block = block.max(1);
-    let mut out = vec![R::default(); len];
+    }
     let mut state = init();
-    for (i, piece) in out.chunks_mut(block).enumerate() {
-        fill(&mut state, i * block, piece);
+    for (b, piece) in out.chunks_mut(block).enumerate() {
+        fill(&mut state, b * block, piece);
     }
     out
 }
@@ -257,6 +262,7 @@ pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 
@@ -286,8 +292,8 @@ mod tests {
         for threads in [2, 4, 7] {
             set_thread_count(threads);
             let parallel = par_map(&items, |&x| x.sin() + x.sqrt());
-            // Bit-identical, not approximately equal: chunking must not change
-            // any per-item computation.
+            // Bit-identical, not approximately equal: claiming must not
+            // change any per-item computation.
             let same = serial
                 .iter()
                 .zip(&parallel)
@@ -299,31 +305,115 @@ mod tests {
 
     #[cfg(feature = "parallel")]
     #[test]
-    fn nested_par_map_runs_serially_in_workers() {
+    fn nested_maps_are_helped_by_other_threads() {
+        use std::collections::HashSet;
+        use std::sync::{Condvar, Mutex};
+        use std::time::Duration;
         let _guard = test_lock();
-        set_thread_count(4);
-        let outer: Vec<usize> = (0..8).collect();
-        // Workers must carry the flag so nested calls don't fan out again.
-        let flags = par_map(&outer, |_| IN_PAR_WORKER.with(std::cell::Cell::get));
-        assert!(flags.iter().all(|&in_worker| in_worker));
-        // And a genuinely nested map still returns correct, ordered results.
-        let nested = par_map(&outer, |&i| {
-            let inner: Vec<usize> = (0..50).collect();
-            par_map(&inner, move |&j| i * 100 + j).iter().sum::<usize>()
+        set_thread_count(3);
+        // Every nested unit waits until three distinct threads have run
+        // nested units. At most two threads can hold an outer unit, so the
+        // rendezvous completes only if a third thread helps a nested map;
+        // were nested maps serial, it would time out and fail below.
+        let seen: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
+        let three = Condvar::new();
+        let nested = par_map_range(2, |i| {
+            par_map_range(50, |j| {
+                let mut threads = seen.lock().unwrap();
+                threads.insert(std::thread::current().id());
+                three.notify_all();
+                let _ = three
+                    .wait_timeout_while(threads, Duration::from_secs(10), |t| t.len() < 3)
+                    .unwrap();
+                i * 1000 + j
+            })
         });
-        let expected: Vec<usize> = outer
-            .iter()
-            .map(|&i| (0..50).map(|j| i * 100 + j).sum())
-            .collect();
-        assert_eq!(nested, expected);
+        for (i, inner) in nested.iter().enumerate() {
+            assert_eq!(*inner, (0..50).map(|j| i * 1000 + j).collect::<Vec<_>>());
+        }
+        // Concurrent tests' threads may help too, so more than three is fine.
+        assert!(
+            seen.lock().unwrap().len() >= 3,
+            "a third thread should have helped the nested maps"
+        );
+        set_thread_count(0);
+    }
+
+    #[cfg(feature = "parallel")]
+    #[test]
+    fn one_row_of_jobs_still_fans_its_columns_out() {
+        use std::collections::HashSet;
+        use std::sync::{Condvar, Mutex};
+        use std::time::Duration;
+        let _guard = test_lock();
+        set_thread_count(2);
+        // The shape of `compile_many` on one benchmark and three targets:
+        // the outer job map has a single unit and runs inline, and the
+        // nested map over targets must still reach a second thread. Every
+        // nested unit waits until two threads have run one.
+        let seen: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
+        let two = Condvar::new();
+        let grid = par_map_jobs(1, |row| {
+            par_map_jobs(3, |col| {
+                let mut threads = seen.lock().unwrap();
+                threads.insert(std::thread::current().id());
+                two.notify_all();
+                let _ = two
+                    .wait_timeout_while(threads, Duration::from_secs(10), |t| t.len() < 2)
+                    .unwrap();
+                (row, col)
+            })
+        });
+        assert_eq!(grid, vec![vec![(0, 0), (0, 1), (0, 2)]]);
+        assert!(
+            seen.lock().unwrap().len() >= 2,
+            "a second thread should have run one of the row's columns"
+        );
+        set_thread_count(0);
+    }
+
+    #[cfg(feature = "parallel")]
+    #[test]
+    fn the_lowest_panicking_index_wins_at_every_thread_count() {
+        let _guard = test_lock();
+        for threads in [1, 2, 3, 7] {
+            set_thread_count(threads);
+            let finished = AtomicUsize::new(0);
+            let caught = std::panic::catch_unwind(|| {
+                par_map_range(64, |i| {
+                    // The higher index panics first; the lower one only
+                    // after a delay, so claiming order alone cannot pick it.
+                    if i == 41 {
+                        panic!("index 41");
+                    }
+                    if i == 17 {
+                        std::thread::sleep(std::time::Duration::from_millis(20));
+                        panic!("index 17");
+                    }
+                    finished.fetch_add(1, Ordering::Relaxed);
+                    vec![i; 3]
+                })
+            });
+            let payload = caught.expect_err("the map must panic");
+            assert_eq!(
+                payload.downcast_ref::<&str>().copied(),
+                Some("index 17"),
+                "{threads} threads"
+            );
+            // Every claimed unit finished before the payload resumed: no
+            // thread is still writing once the caller sees the panic.
+            let after = finished.load(Ordering::Relaxed);
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            assert_eq!(after, finished.load(Ordering::Relaxed), "{threads} threads");
+        }
         set_thread_count(0);
     }
 
     #[test]
     fn stateful_map_is_identical_across_thread_counts() {
         let _guard = test_lock();
-        // Worker-private scratch (as used for register files) must not change
-        // results, whatever the chunking.
+        // Thread-private scratch (as used for register files) must not change
+        // results, whoever claims which index.
         let run = || {
             par_map_range_with(503, Vec::<f64>::new, |scratch, i| {
                 scratch.push(i as f64);
@@ -348,7 +438,7 @@ mod tests {
     fn block_map_matches_index_map_at_every_thread_count() {
         let _guard = test_lock();
         // A length that is not a multiple of the block size, so the ragged
-        // tail block is exercised at every worker split.
+        // tail block is exercised at every thread count.
         let len = 509;
         let block = 16;
         let run = || {
@@ -387,11 +477,12 @@ mod tests {
     #[test]
     fn block_map_sees_identical_block_starts_at_every_thread_count() {
         let _guard = test_lock();
-        // Record each index's block start: worker splits must never move a
-        // block boundary (that is what keeps block-sensitive state private).
+        // Record each index's block start: claiming must never move a block
+        // boundary (that is what keeps block-sensitive state private).
+        let len = 100;
         let run = || {
             par_map_blocks_with(
-                100,
+                len,
                 8,
                 || (),
                 |(), start, out| {
@@ -406,7 +497,7 @@ mod tests {
             assert_eq!(serial, run(), "block starts moved at {threads} threads");
         }
         set_thread_count(0);
-        // Blocks are exactly the serial chunking: 0,0,...,8,8,...,96,...
+        // Blocks are exactly the serial chunking: 0,0,...,8,8,...
         assert!(serial.iter().enumerate().all(|(i, &s)| s == i / 8 * 8));
     }
 

@@ -230,7 +230,10 @@ pub struct SearchStats {
     /// meaningful on the corpus-wide sum built by [`SearchStats::aggregate`].
     pub jobs_failed: usize,
     /// Ground-truth cache work attributable to this call (shared caches
-    /// subtract a snapshot taken when the call began).
+    /// subtract a snapshot taken when the call began). Calls that share a
+    /// [`Prepared`] and overlap in time — `compile_many` runs a benchmark's
+    /// targets concurrently — each count the other's lookups, so a sum over
+    /// such calls can exceed the cache's own totals.
     pub truths: crate::sample::TruthStats,
 }
 
@@ -960,11 +963,13 @@ impl Session {
 
     /// Compiles every benchmark for every target: the corpus entry point.
     ///
-    /// Benchmarks are first prepared in parallel (once each — sampling and
-    /// ground truth never run per target), then the `(benchmark × target)`
-    /// compile jobs fan out over [`chassis::par`](crate::par) with the
-    /// prepared state shared per benchmark. `ctl` applies to every job:
-    /// the budget bounds each compile individually, and progress events from
+    /// Each benchmark is prepared exactly once (sampling and ground truth
+    /// never run per target), and its `(benchmark × target)` compile jobs
+    /// share the prepared state. Benchmarks fan out over
+    /// [`chassis::par`](crate::par), and each one's targets fan out as a
+    /// nested map the moment its preparation succeeds, with no barrier
+    /// between the two phases. `ctl` applies to every job: the budget
+    /// bounds each compile individually, and progress events from
     /// concurrent jobs interleave on the observer.
     ///
     /// Returns one row per benchmark (in input order), each with one result
@@ -983,46 +988,15 @@ impl Session {
         targets: &[Target],
         ctl: &SearchControl,
     ) -> Vec<Vec<Result<CompilationResult, CompileError>>> {
-        // Phase 1: target-independent preparation, parallel across benchmarks.
-        let prepared: Vec<Result<Prepared, CompileError>> =
-            par::par_map(cores, |core| catch_job(|| self.prepare(core)));
-
-        // Phase 2: fan (benchmark, target) jobs out over the worker pool; the
-        // Arc-shared prepared state costs nothing to hand to each job.
-        let mut jobs: Vec<(usize, usize)> = Vec::new();
-        for (b, prep) in prepared.iter().enumerate() {
-            if prep.is_ok() {
-                for t in 0..targets.len() {
-                    jobs.push((b, t));
+        let grid: Vec<Vec<Result<CompilationResult, CompileError>>> =
+            par::par_map_jobs(cores.len(), |b| {
+                match catch_job(|| self.prepare(&cores[b])) {
+                    Ok(prep) => par::par_map_jobs(targets.len(), |t| {
+                        catch_job(|| prep.compile_with(&targets[t], ctl))
+                    }),
+                    Err(e) => targets.iter().map(|_| Err(e.clone())).collect(),
                 }
-            }
-        }
-        let outcomes = par::par_map(&jobs, |&(b, t)| {
-            catch_job(|| match prepared[b].as_ref() {
-                Ok(prep) => prep.compile_with(&targets[t], ctl),
-                // Unreachable: only prepared benchmarks are scheduled.
-                Err(e) => Err(e.clone()),
-            })
-        });
-
-        // Reassemble rows in (benchmark, target) order.
-        let mut outcomes = outcomes.into_iter();
-        let grid: Vec<Vec<Result<CompilationResult, CompileError>>> = prepared
-            .into_iter()
-            .map(|prep| match prep {
-                Ok(_) => (0..targets.len())
-                    .map(|_| {
-                        outcomes.next().unwrap_or_else(|| {
-                            // Unreachable: par_map returns one outcome per job.
-                            Err(CompileError::Internal(JobPanic::new(
-                                "corpus fan-out lost a job outcome",
-                            )))
-                        })
-                    })
-                    .collect(),
-                Err(e) => targets.iter().map(|_| Err(e.clone())).collect(),
-            })
-            .collect();
+            });
 
         // Report each failed cell to the observer, after the fan-out so the
         // events arrive in deterministic (benchmark, target) order.

@@ -46,8 +46,9 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 ///   `GroundTruth::Unsamplable`, the ladder's own non-convergence outcome.
 /// * `egraph.saturate` — at the top of each saturation iteration; an abort
 ///   stops the run as if the node cap had been hit.
-/// * `par.spawn` — before the worker fan-out in `chassis::par`; an abort
-///   degrades to the serial path, a panic exercises worker-panic transport.
+/// * `par.spawn` — before a map is handed to the `chassis::par` pool; an
+///   abort runs the map inline instead, a panic unwinds in the issuing thread
+///   (often a pool worker), exercising panic transport.
 /// * `session.compile` — at the head of each per-target compile job; the
 ///   direct way to prove per-job isolation in `compile_many`.
 /// * `store.read` — in the service result store's disk-read path; an abort

@@ -241,6 +241,10 @@ pub fn read_request(
 /// `extra_headers` (e.g. `Retry-After`) are written verbatim after the
 /// standard ones.
 ///
+/// The whole response goes out in a single `write_all`: written piecewise,
+/// each keep-alive answer's later segments would wait out the peer's delayed
+/// ACK (tens of milliseconds per answer).
+///
 /// # Errors
 ///
 /// Propagates the underlying socket error.
@@ -254,16 +258,18 @@ pub fn write_response(
     extra_headers: &[(&str, String)],
 ) -> std::io::Result<()> {
     let connection = if keep_alive { "keep-alive" } else { "close" };
+    let mut response = Vec::with_capacity(160 + body.len());
     write!(
-        stream,
+        response,
         "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
         body.len()
     )?;
     for (name, value) in extra_headers {
-        write!(stream, "{name}: {value}\r\n")?;
+        write!(response, "{name}: {value}\r\n")?;
     }
-    stream.write_all(b"\r\n")?;
-    stream.write_all(body)?;
+    response.extend_from_slice(b"\r\n");
+    response.extend_from_slice(body);
+    stream.write_all(&response)?;
     stream.flush()
 }
 
@@ -345,6 +351,38 @@ mod tests {
         assert!(text.contains("Content-Length: 2\r\n"));
         assert!(text.contains("Connection: keep-alive\r\n"));
         assert!(text.ends_with("\r\n\r\n{}"));
+    }
+
+    #[test]
+    fn a_response_is_one_write() {
+        /// Counts `write` calls; a response split over several calls would
+        /// stall a keep-alive peer on its delayed ACK.
+        struct Counting(Vec<u8>, usize);
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.1 += 1;
+                self.0.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut out = Counting(Vec::new(), 0);
+        write_response(
+            &mut out,
+            503,
+            "Service Unavailable",
+            "application/json",
+            b"{\"error\":1}",
+            true,
+            &[("Retry-After", "1".to_string()), ("X-A", "b".to_string())],
+        )
+        .unwrap();
+        assert_eq!(out.1, 1, "headers and body must go out in one write");
+        let text = String::from_utf8(out.0).unwrap();
+        assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
+        assert!(text.ends_with("X-A: b\r\n\r\n{\"error\":1}"));
     }
 
     #[test]

@@ -704,6 +704,9 @@ fn client_gone(stream: &TcpStream) -> bool {
 }
 
 fn connection_loop(stream: TcpStream, state: &Arc<ServerState>) {
+    // Answers are complete when written; Nagle would only hold a small one
+    // back waiting for the peer's ACK of the previous segment.
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(state.config.read_timeout));
     let _ = stream.set_write_timeout(Some(state.config.write_timeout));
     let Ok(write_half) = stream.try_clone() else {

@@ -694,6 +694,69 @@ fn a_dribbling_client_is_cut_off_by_the_header_deadline() {
 }
 
 #[test]
+fn a_keep_alive_client_is_answered_on_one_connection() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    let _plan = fault::install(fault::FaultPlan::new());
+    let handle = start(small_server(None)).unwrap();
+    let addr = handle.addr();
+    let stream = std::net::TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let compile = compile_request(SQRT_CANCEL, "c99", 7);
+    // Alternate cheap and compiling routes; every answer must arrive, in
+    // order, on the same socket.
+    for i in 0..12 {
+        let (path, body) = if i % 3 == 2 {
+            ("/compile", compile.as_str())
+        } else {
+            ("/healthz", "")
+        };
+        let method = if body.is_empty() { "GET" } else { "POST" };
+        write!(
+            writer,
+            "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .unwrap();
+        writer.flush().unwrap();
+        let mut status_line = String::new();
+        reader.read_line(&mut status_line).unwrap();
+        assert!(
+            status_line.starts_with("HTTP/1.1 200 "),
+            "request {i} on the kept-alive connection got {status_line:?}"
+        );
+        let mut length = 0;
+        loop {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            let line = line.trim_end();
+            if line.is_empty() {
+                break;
+            }
+            if let Some((name, value)) = line.split_once(':') {
+                if name.eq_ignore_ascii_case("connection") {
+                    assert_eq!(value.trim(), "keep-alive");
+                }
+                if name.eq_ignore_ascii_case("content-length") {
+                    length = value.trim().parse().unwrap();
+                }
+            }
+        }
+        let mut answer = vec![0u8; length];
+        reader.read_exact(&mut answer).unwrap();
+        let doc = Json::parse(std::str::from_utf8(&answer).unwrap()).unwrap();
+        if path == "/compile" {
+            let expected = if i == 2 { "miss" } else { "memory" };
+            assert_eq!(cache_of(&doc), expected, "{doc}");
+        }
+    }
+    handle.stop();
+}
+
+#[test]
 fn a_flooding_client_that_disconnects_frees_the_daemon_for_others() {
     use std::io::Write;
     // Hold every search at its head for longer than the waiter's client-gone

@@ -4,7 +4,8 @@
 //! parallel search.
 
 use chassis::{
-    Budget, CancelToken, CompilationResult, Config, Phase, Progress, SearchControl, Session,
+    Budget, CancelToken, CompilationResult, Config, ErrorKind, Phase, Progress, SearchControl,
+    Session,
 };
 use fpcore::parse_fpcore;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -162,6 +163,93 @@ fn compile_many_reports_prepare_failures_per_benchmark() {
             .all(|r| matches!(r, Err(chassis::CompileError::Sampling(_)))),
         "a benchmark that cannot be sampled errors in every column"
     );
+}
+
+#[test]
+fn compile_many_grid_is_bit_identical_across_thread_counts() {
+    // Preparations and their benchmarks' compiles overlap on the pool;
+    // whichever thread takes which job, the grid, the failed cells and their events must be
+    // exactly the serial ones. The mix has a benchmark that cannot be
+    // sampled (its whole row errors) and an operator bare `arith` cannot
+    // express (one Unsupported cell in an otherwise prepared row).
+    let cores = vec![
+        polynomial(),
+        parse_fpcore("(FPCore (x) :pre (< x (- x 1)) (+ x 1))").unwrap(),
+        parse_fpcore("(FPCore (x) :pre (and (> x -1) (< x 1)) (sin x))").unwrap(),
+    ];
+    let target_list = vec![
+        builtin::by_name("c99").unwrap(),
+        builtin::by_name("arith").unwrap(),
+    ];
+    let run = || {
+        let failed: Mutex<Vec<(usize, usize, ErrorKind)>> = Mutex::new(Vec::new());
+        let observer = |event: &Progress| {
+            if let Progress::JobFailed {
+                benchmark,
+                target,
+                kind,
+            } = *event
+            {
+                failed.lock().unwrap().push((benchmark, target, kind));
+            }
+        };
+        let session = Session::new(Config::fast());
+        let ctl = SearchControl::new().with_progress(&observer);
+        let grid = session.compile_many_with(&cores, &target_list, &ctl);
+        assert_eq!(
+            session.prepare_count(),
+            cores.len(),
+            "one preparation per distinct benchmark"
+        );
+        (grid, failed.into_inner().unwrap())
+    };
+
+    chassis::par::set_thread_count(1);
+    let (serial, serial_failed) = run();
+    assert_eq!(
+        serial_failed,
+        vec![
+            (1, 0, ErrorKind::Sampling),
+            (1, 1, ErrorKind::Sampling),
+            (2, 1, ErrorKind::Unsupported),
+        ],
+        "one JobFailed per failed cell, in (benchmark, target) order"
+    );
+    for threads in [2, 3] {
+        chassis::par::set_thread_count(threads);
+        let (grid, failed) = run();
+        assert_eq!(failed, serial_failed, "{threads} threads: JobFailed events");
+        for (b, (row_a, row_b)) in serial.iter().zip(&grid).enumerate() {
+            for (t, (a, b_cell)) in row_a.iter().zip(row_b).enumerate() {
+                let what = format!("{threads} threads, cell ({b}, {t})");
+                match (a, b_cell) {
+                    (Ok(a), Ok(b)) => assert_bit_identical(a, b, &what),
+                    (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{what}"),
+                    _ => panic!("{what}: outcome changed"),
+                }
+            }
+        }
+    }
+    chassis::par::set_thread_count(0);
+}
+
+#[test]
+fn nested_maps_from_pool_workers_return_ordered_results() {
+    // Every outer unit issues its own map from whichever pool thread runs
+    // it; those maps are helped by idle threads and must still return their
+    // results in index order.
+    for threads in [2, 3] {
+        chassis::par::set_thread_count(threads);
+        let outer: Vec<usize> = (0..8).collect();
+        let nested = chassis::par::par_map(&outer, |&i| {
+            chassis::par::par_map_range(300, move |j| i * 1000 + j)
+        });
+        for (i, inner) in nested.iter().enumerate() {
+            let expected: Vec<usize> = (0..300).map(|j| i * 1000 + j).collect();
+            assert_eq!(*inner, expected, "{threads} threads, outer index {i}");
+        }
+    }
+    chassis::par::set_thread_count(0);
 }
 
 #[test]
